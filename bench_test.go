@@ -1,5 +1,5 @@
 // Package ifdk's root benchmarks regenerate every table and figure of the
-// paper at benchmark-friendly scale (see DESIGN.md's experiment index):
+// paper at benchmark-friendly scale:
 //
 //	BenchmarkTable4*  — back-projection kernel GUPS (Table 4, E2/E3)
 //	BenchmarkTable5   — Tcompute breakdown and δ (Table 5, E9)

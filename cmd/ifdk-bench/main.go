@@ -1,6 +1,5 @@
 // Command ifdk-bench regenerates every table and figure of the paper's
-// evaluation section from the simulated substrates (see DESIGN.md for the
-// per-experiment index):
+// evaluation section from the simulated substrates:
 //
 //	ifdk-bench table3          kernel characteristics (Table 3)
 //	ifdk-bench table4          back-projection kernel GUPS (Table 4)

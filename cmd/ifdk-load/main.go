@@ -483,10 +483,9 @@ func runStream(ctx context.Context, c *client.Client, lc loadConfig) error {
 // quality=progressive job, its stream consumed through
 // client.StreamProgressive, reporting time-to-first-preview (the coarse
 // tier's first part) against time-to-full-volume. A preview-quality warmup
-// pays dataset staging and the coarse reconstruction up front, so the
-// measured job isolates the latency a viewer actually sees: how long until
-// something renders versus how long until every full-resolution voxel is
-// in hand.
+// under another window pays dataset staging up front, so the measured job
+// isolates the latency a viewer actually sees: how long until something
+// renders versus how long until every full-resolution voxel is in hand.
 func runPreview(ctx context.Context, c *client.Client, lc loadConfig) error {
 	nx := lc.nx
 	if nx < 64 {
@@ -500,17 +499,18 @@ func runPreview(ctx context.Context, c *client.Client, lc loadConfig) error {
 	fmt.Printf("progressive scenario: one %s job nx=%d np=%d on a 2x2 grid, quality=%s\n",
 		spec.Phantom, spec.NX, spec.NP, spec.Quality)
 
-	// Warm with the preview tier itself: it stages the same full-resolution
-	// dataset (content-addressed, shared) and caches the coarse volume
-	// under its own key, without touching the full-resolution cache entry
-	// the progressive job must still compute.
+	// Warm with a preview of the same scan under another ramp window: it
+	// stages the same dataset (content-addressed, shared), but its cache
+	// key differs, so the measured job's preview tier is computed rather
+	// than served from the cache.
 	warm := spec
 	warm.Quality = api.QualityPreview
+	warm.Window = "hann"
 	warmStart := time.Now()
 	if w := driveJob(ctx, c, warm); w.err != nil {
 		return fmt.Errorf("preview warmup: %w", w.err)
 	}
-	fmt.Printf("warmup (staging + coarse reconstruction): %v\n",
+	fmt.Printf("warmup (staging + another window's preview): %v\n",
 		time.Since(warmStart).Round(time.Millisecond))
 
 	start := time.Now()

@@ -7,10 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"mime"
-	"mime/multipart"
 	"net/http"
-	"net/textproto"
 	"strconv"
 	"strings"
 	"time"
@@ -305,14 +302,15 @@ func (rt *Router) pumpEvents(body io.Reader, id string, cursor *int64, emit func
 
 // relayStream serves GET /v1/jobs/{id}/stream by re-terminating the owning
 // backend's multipart slice stream under the router's own boundary. Each
-// slice part is forwarded at most once, keyed by its z-index header — after
-// a takeover the survivor's stream replays every slice it has (PFS replay
-// plus the re-execution's live tail), and the bit-identical duplicates are
-// dropped here so the client's exactly-once accounting holds. Parts are
-// forwarded whole (read fully before the first byte is re-emitted): a
-// backend dying mid-part must not leak a truncated payload into the client's
-// stream. The closing JSON part carries the public job ID whichever
-// execution finished the job.
+// slice part is forwarded at most once, keyed by its preview factor and z
+// index — after a takeover the survivor's stream replays every slice it has
+// (PFS replay plus the re-execution's live tail), and the bit-identical
+// duplicates are dropped here so the client's exactly-once accounting
+// holds. Parts are forwarded whole (read fully before the first byte is
+// re-emitted) and closed as they are written: a backend dying mid-part must
+// not leak a truncated payload into the client's stream, and a part that
+// has fully arrived must not wait for the next. The closing JSON part
+// carries the public job ID whichever execution finished the job.
 func (rt *Router) relayStream(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	hdr := map[string]string{}
@@ -330,24 +328,8 @@ func (rt *Router) relayStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 
-	rc := http.NewResponseController(w)
-	var mw *multipart.Writer
-	headersSent := false
-	seen := map[string]bool{}
-	sendTerminalView := func(v api.View) {
-		terminalSeen = true
-		phdr := textproto.MIMEHeader{}
-		phdr.Set("Content-Type", "application/json")
-		phdr.Set(api.HeaderStreamEnd, string(v.State))
-		part, err := mw.CreatePart(phdr)
-		if err != nil {
-			return
-		}
-		if json.NewEncoder(part).Encode(v) == nil {
-			_ = mw.Close()
-			_ = rc.Flush()
-		}
-	}
+	var pw *api.PartWriter    // nil until the response headers are out
+	seen := map[[2]int]bool{} // {preview factor, z} of every forwarded slice
 
 	deadline := time.Now().Add(rt.opt.FailoverWait)
 	attached := false
@@ -358,24 +340,25 @@ func (rt *Router) relayStream(w http.ResponseWriter, r *http.Request) {
 		resp, backend, err := rt.dialJob(r.Context(), id, "/stream", hdr)
 		if err != nil {
 			var raw *rawResponse
-			if asRaw(err, &raw) && !headersSent {
+			if asRaw(err, &raw) && pw == nil {
 				raw.write(w)
 				return
 			}
-			if headersSent {
+			if pw != nil {
 				// Mid-relay refusal (e.g. the re-execution was cancelled on
 				// the survivor: terminal, no slices): settle with the view.
 				if v, ok := rt.fetchView(r.Context(), id); ok && v.State.Terminal() {
-					sendTerminalView(v)
+					terminalSeen = true
+					_ = pw.WriteEnd(v)
 					return
 				}
 			}
-			if errors.Is(err, errNoRoute) && !headersSent {
+			if errors.Is(err, errNoRoute) && pw == nil {
 				writeErr(w, api.CodeNotFound, "no such job %q in the fleet", id)
 				return
 			}
 			if time.Now().After(deadline) {
-				if !headersSent {
+				if pw == nil {
 					writeErr(w, api.CodeUnavailable, "job %s: no live backend within the failover wait", id)
 				}
 				return
@@ -391,19 +374,17 @@ func (rt *Router) relayStream(w http.ResponseWriter, r *http.Request) {
 			rt.relayTakeovers.Add(1)
 		}
 		attached = true
-		if !headersSent {
-			mw = multipart.NewWriter(w)
-			w.Header().Set("Content-Type", "multipart/mixed; boundary="+mw.Boundary())
+		if pw == nil {
+			pw = api.NewPartWriter(w, false) // parts are forwarded in their backend coding
 			w.Header().Set("X-Accel-Buffering", "no")
 			w.WriteHeader(http.StatusOK)
-			headersSent = true
-			if rc.Flush() != nil {
+			if http.NewResponseController(w).Flush() != nil {
 				resp.Body.Close()
 				return
 			}
 		}
 		deadline = time.Now().Add(rt.opt.FailoverWait)
-		done, pumpErr := rt.pumpStream(resp, id, seen, mw, rc)
+		done, pumpErr := rt.pumpStream(resp, id, seen, pw)
 		resp.Body.Close()
 		if done {
 			terminalSeen = true
@@ -419,65 +400,36 @@ func (rt *Router) relayStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// pumpStream copies one backend multipart connection into the relay's
-// writer, skipping slices already forwarded. It reports done once the
-// terminal JSON part has been relayed (with the public job ID restored).
-// The dedup key includes the part's preview factor: a progressive stream
+// pumpStream copies one backend slice stream into the relay's writer, part
+// by part, skipping slices already forwarded. It reports done once the
+// terminal part has been relayed (with the public job ID restored). The
+// dedup key includes the part's preview factor: a progressive stream
 // carries a coarse slice z and a full-resolution slice z as distinct parts,
 // and keying on the bare index would silently drop the refinement.
-func (rt *Router) pumpStream(resp *http.Response, id string, seen map[string]bool, mw *multipart.Writer, rc *http.ResponseController) (bool, error) {
-	_, params, err := mime.ParseMediaType(resp.Header.Get("Content-Type"))
-	if err != nil || params["boundary"] == "" {
-		return false, fmt.Errorf("backend stream Content-Type %q has no boundary", resp.Header.Get("Content-Type"))
+func (rt *Router) pumpStream(resp *http.Response, id string, seen map[[2]int]bool, pw *api.PartWriter) (bool, error) {
+	pr, err := api.NewPartReader(resp.Header.Get("Content-Type"), resp.Body)
+	if err != nil {
+		return false, err
 	}
-	mr := multipart.NewReader(resp.Body, params["boundary"])
 	for {
-		part, err := mr.NextPart()
+		p, err := pr.Next()
 		if err != nil {
-			return false, err // EOF mid-stream: the backend died; the caller reattaches
+			// EOF or a truncated part mid-stream: the backend died. Nothing
+			// of the broken part was forwarded; the caller reattaches.
+			return false, err
 		}
-		if part.Header.Get("Content-Type") == "application/json" {
-			var v api.View
-			if err := json.NewDecoder(part).Decode(&v); err != nil {
-				return false, err
-			}
-			rt.noteState(id, v.ID, v.State)
-			v.ID = id // public identity survives failover
-			phdr := textproto.MIMEHeader{}
-			phdr.Set("Content-Type", "application/json")
-			phdr.Set(api.HeaderStreamEnd, string(v.State))
-			out, err := mw.CreatePart(phdr)
-			if err != nil {
-				return true, err
-			}
-			if err := json.NewEncoder(out).Encode(v); err != nil {
-				return true, err
-			}
-			_ = mw.Close()
-			return true, rc.Flush()
+		if p.End != nil {
+			rt.noteState(id, p.End.ID, p.End.State)
+			p.End.ID = id // public identity survives failover
+			return true, pw.WriteEnd(*p.End)
 		}
-		z, err := strconv.Atoi(part.Header.Get(api.HeaderSliceZ))
-		if err != nil {
-			return false, fmt.Errorf("backend slice part without a %s header", api.HeaderSliceZ)
-		}
-		key := part.Header.Get(api.HeaderPreviewFactor) + "/" + strconv.Itoa(z)
+		key := [2]int{p.Factor, p.Z}
 		if seen[key] {
-			continue // replayed duplicate after a takeover; NextPart discards it
+			continue // replayed duplicate after a takeover
 		}
-		blob, err := io.ReadAll(part)
-		if err != nil {
-			return false, err // truncated part: nothing was forwarded, safe to retry
-		}
-		out, err := mw.CreatePart(part.Header)
-		if err != nil {
-			return true, err
-		}
-		if _, err := out.Write(blob); err != nil {
+		if err := pw.Forward(p); err != nil {
 			return true, err
 		}
 		seen[key] = true
-		if err := rc.Flush(); err != nil {
-			return true, err
-		}
 	}
 }

@@ -269,7 +269,10 @@ func TestJoinClassPartitionsRounds(t *testing.T) {
 		err      error
 	}
 	seats := make([]seat, len(classes)*perClass)
-	var wg sync.WaitGroup
+	members := make([]*Member, len(seats))
+	// Join every member before any filters: a class's full round is
+	// len(pending) >= members, so a lone early member filtering before its
+	// class-mate joined would flush a round of one.
 	for ci, class := range classes {
 		for k := 0; k < perClass; k++ {
 			i := ci*perClass + k
@@ -277,17 +280,19 @@ func TestJoinClassPartitionsRounds(t *testing.T) {
 			if seats[i].want, err = flt.Apply(seats[i].in); err != nil {
 				t.Fatal(err)
 			}
-			m, err := p.JoinClass(g, filter.Hann, class)
-			if err != nil {
+			if members[i], err = p.JoinClass(g, filter.Hann, class); err != nil {
 				t.Fatal(err)
 			}
-			wg.Add(1)
-			go func(s *seat, m *Member) {
-				defer wg.Done()
-				defer m.Close()
-				s.batch, s.err = m.Filter(context.Background(), s.in)
-			}(&seats[i], m)
 		}
+	}
+	var wg sync.WaitGroup
+	for i, m := range members {
+		wg.Add(1)
+		go func(s *seat, m *Member) {
+			defer wg.Done()
+			defer m.Close()
+			s.batch, s.err = m.Filter(context.Background(), s.in)
+		}(&seats[i], m)
 	}
 	wg.Wait()
 	for i := range seats {

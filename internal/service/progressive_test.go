@@ -5,14 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"io"
-	"mime"
-	"mime/multipart"
 	"net/http"
-	"strconv"
 	"testing"
 	"time"
 
-	"ifdk/internal/compress"
 	"ifdk/internal/volume"
 	"ifdk/pkg/api"
 )
@@ -47,10 +43,10 @@ func openStreamPrev(t *testing.T, ctx context.Context, url string) (<-chan prevP
 		resp.Body.Close()
 		t.Fatalf("stream: HTTP %d", resp.StatusCode)
 	}
-	_, params, err := mime.ParseMediaType(resp.Header.Get("Content-Type"))
-	if err != nil || params["boundary"] == "" {
+	pr, err := api.NewPartReader(resp.Header.Get("Content-Type"), resp.Body)
+	if err != nil {
 		resp.Body.Close()
-		t.Fatalf("stream: Content-Type %q (%v)", resp.Header.Get("Content-Type"), err)
+		t.Fatal(err)
 	}
 	parts := make(chan prevPart, 1024)
 	views := make(chan View, 1)
@@ -58,44 +54,16 @@ func openStreamPrev(t *testing.T, ctx context.Context, url string) (<-chan prevP
 		defer close(parts)
 		defer close(views)
 		defer resp.Body.Close()
-		mr := multipart.NewReader(resp.Body, params["boundary"])
 		for {
-			p, err := mr.NextPart()
+			p, err := pr.Next()
 			if err != nil {
 				return
 			}
-			if p.Header.Get("Content-Type") == "application/json" {
-				var v View
-				if json.NewDecoder(p).Decode(&v) == nil {
-					views <- v
-				}
+			if p.End != nil {
+				views <- *p.End
 				continue
 			}
-			z, err := strconv.Atoi(p.Header.Get(api.HeaderSliceZ))
-			if err != nil {
-				continue
-			}
-			total, _ := strconv.Atoi(p.Header.Get(api.HeaderSliceTotal))
-			factor := 0
-			if pf := p.Header.Get(api.HeaderPreviewFactor); pf != "" {
-				if factor, err = strconv.Atoi(pf); err != nil {
-					continue
-				}
-			}
-			blob, err := io.ReadAll(p)
-			if err != nil {
-				return
-			}
-			if p.Header.Get("Content-Encoding") == "gzip" {
-				if blob, err = compress.Gunzip(blob); err != nil {
-					continue
-				}
-			}
-			img, err := volume.ImageFromBytes(blob)
-			if err != nil {
-				continue
-			}
-			parts <- prevPart{z: z, total: total, factor: factor, img: img}
+			parts <- prevPart{z: p.Z, total: p.Total, factor: p.Factor, img: p.Image}
 		}
 	}()
 	return parts, views
@@ -349,31 +317,21 @@ func TestPreviewEndpoint(t *testing.T) {
 	if f := resp.Header.Get(api.HeaderPreviewFactor); f != "2" {
 		t.Fatalf("top-level %s = %q, want 2", api.HeaderPreviewFactor, f)
 	}
-	_, params, err := mime.ParseMediaType(resp.Header.Get("Content-Type"))
-	if err != nil || params["boundary"] == "" {
-		t.Fatalf("preview Content-Type %q (%v)", resp.Header.Get("Content-Type"), err)
+	pr, err := api.NewPartReader(resp.Header.Get("Content-Type"), resp.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	mr := multipart.NewReader(resp.Body, params["boundary"])
 	count := 0
 	for {
-		p, err := mr.NextPart()
-		if err != nil {
+		p, err := pr.Next()
+		if err == io.EOF {
 			break
 		}
-		if p.Header.Get(api.HeaderPreviewFactor) != "2" {
-			t.Fatalf("part %d missing the preview factor header", count)
-		}
-		blob, err := io.ReadAll(p)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("part %d: %v", count, err)
 		}
-		if p.Header.Get("Content-Encoding") == "gzip" {
-			if blob, err = compress.Gunzip(blob); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := volume.ImageFromBytes(blob); err != nil {
-			t.Fatalf("part %d payload: %v", count, err)
+		if p.Factor != 2 {
+			t.Fatalf("part %d has preview factor %d, want 2", count, p.Factor)
 		}
 		count++
 	}

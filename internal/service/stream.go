@@ -3,13 +3,10 @@ package service
 import (
 	"encoding/json"
 	"fmt"
-	"mime/multipart"
 	"net/http"
-	"net/textproto"
 	"strconv"
 	"strings"
 
-	"ifdk/internal/compress"
 	"ifdk/internal/hpc/pfs"
 	"ifdk/internal/service/progressive"
 	"ifdk/internal/volume"
@@ -127,32 +124,11 @@ func (s *Server) preview(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, api.CodeNotYetWritten, "preview of job %s not built yet (state %s)", id, j.State())
 		return
 	}
-	gzipParts := acceptsGzip(r)
-	mw := multipart.NewWriter(w)
-	defer mw.Close()
-	w.Header().Set("Content-Type", "multipart/mixed; boundary="+mw.Boundary())
+	pw := api.NewPartWriter(w, acceptsGzip(r))
 	w.Header().Set(api.HeaderPreviewFactor, strconv.Itoa(j.plan.Factor))
 	w.WriteHeader(http.StatusOK)
-	for z := 0; z < e.Volume.Nz; z++ {
-		hdr := textproto.MIMEHeader{}
-		hdr.Set("Content-Type", api.ContentTypeSlice)
-		hdr.Set(api.HeaderSliceZ, strconv.Itoa(z))
-		hdr.Set(api.HeaderSliceTotal, strconv.Itoa(e.Volume.Nz))
-		hdr.Set(api.HeaderPreviewFactor, strconv.Itoa(j.plan.Factor))
-		blob := volume.ImageToBytes(e.Volume.SliceZ(z))
-		if gzipParts {
-			gz, err := compress.Gzip(blob)
-			if err != nil {
-				return
-			}
-			hdr.Set("Content-Encoding", api.EncodingGzip)
-			blob = gz
-		}
-		part, err := mw.CreatePart(hdr)
-		if err != nil {
-			return
-		}
-		if _, err := part.Write(blob); err != nil {
+	for z, nz := 0, e.Volume.Nz; z < nz; z++ {
+		if pw.WriteSlice(z, nz, j.plan.Factor, volume.ImageToBytes(e.Volume.SliceZ(z)), z == nz-1) != nil {
 			return
 		}
 	}
@@ -200,44 +176,17 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, api.CodeTerminal, "job %s is %s: no slice stream", id, st)
 		return
 	}
-	gzipParts := acceptsGzip(r)
-
-	mw := multipart.NewWriter(w)
-	defer mw.Close()
-	w.Header().Set("Content-Type", "multipart/mixed; boundary="+mw.Boundary())
+	pw := api.NewPartWriter(w, acceptsGzip(r))
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
-	rc := http.NewResponseController(w)
-	if err := rc.Flush(); err != nil { // headers out before the first slice exists
+	if err := http.NewResponseController(w).Flush(); err != nil { // headers out before the first slice exists
 		return
 	}
 
 	sent := make([]bool, nz)
-	writePart := func(hdr textproto.MIMEHeader, blob []byte) error {
-		if gzipParts {
-			gz, err := compress.Gzip(blob)
-			if err != nil {
-				return err
-			}
-			hdr.Set("Content-Encoding", api.EncodingGzip)
-			blob = gz
-		}
-		part, err := mw.CreatePart(hdr)
-		if err != nil {
-			return err
-		}
-		if _, err := part.Write(blob); err != nil {
-			return err
-		}
-		return rc.Flush()
-	}
 	sendBlob := func(z int, blob []byte) error {
-		hdr := textproto.MIMEHeader{}
-		hdr.Set("Content-Type", api.ContentTypeSlice)
-		hdr.Set(api.HeaderSliceZ, strconv.Itoa(z))
-		hdr.Set(api.HeaderSliceTotal, strconv.Itoa(nz))
 		sent[z] = true
-		return writePart(hdr, blob)
+		return pw.WriteSlice(z, nz, 0, blob, false)
 	}
 	// sendPreview emits a progressive job's coarse tier — every preview
 	// slice, marked with the decimation factor and indexed on the coarse
@@ -255,14 +204,8 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request) {
 			return nil
 		}
 		previewSent = true
-		cnz := e.Volume.Nz
-		for z := 0; z < cnz; z++ {
-			hdr := textproto.MIMEHeader{}
-			hdr.Set("Content-Type", api.ContentTypeSlice)
-			hdr.Set(api.HeaderSliceZ, strconv.Itoa(z))
-			hdr.Set(api.HeaderSliceTotal, strconv.Itoa(cnz))
-			hdr.Set(api.HeaderPreviewFactor, strconv.Itoa(j.plan.Factor))
-			if err := writePart(hdr, volume.ImageToBytes(e.Volume.SliceZ(z))); err != nil {
+		for z := 0; z < e.Volume.Nz; z++ {
+			if err := pw.WriteSlice(z, e.Volume.Nz, j.plan.Factor, volume.ImageToBytes(e.Volume.SliceZ(z)), false); err != nil {
 				return err
 			}
 		}
@@ -300,16 +243,7 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request) {
 				}
 			}
 		}
-		hdr := textproto.MIMEHeader{}
-		hdr.Set("Content-Type", "application/json")
-		v := j.snapshot()
-		hdr.Set(api.HeaderStreamEnd, string(v.State))
-		part, err := mw.CreatePart(hdr)
-		if err != nil {
-			return
-		}
-		_ = json.NewEncoder(part).Encode(v)
-		_ = rc.Flush()
+		_ = pw.WriteEnd(j.snapshot())
 	}
 
 	// Replay the preview tier first if it already exists, then slices

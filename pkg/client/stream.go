@@ -2,15 +2,9 @@ package client
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"mime"
-	"mime/multipart"
 	"net/http"
-	"strconv"
 
-	"ifdk/internal/compress"
 	"ifdk/pkg/api"
 	"ifdk/pkg/volume"
 )
@@ -67,113 +61,44 @@ func (c *Client) Stream(ctx context.Context, id string, onSlice func(z, total in
 // the first full-resolution part, so OnPreview marks time-to-first-volume
 // long before the stream completes.
 func (c *Client) StreamProgressive(ctx context.Context, id string, hooks StreamHooks) (*StreamResult, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/jobs/"+id+"/stream", nil)
+	resp, pr, err := c.openParts(ctx, id, "/stream")
 	if err != nil {
 		return nil, err
-	}
-	// Explicit either way: left unset, Go's transport would advertise gzip
-	// on its own and the stream's per-part encoding would stop being the
-	// caller's choice.
-	if c.gzip {
-		req.Header.Set("Accept-Encoding", "gzip")
-	} else {
-		req.Header.Set("Accept-Encoding", "identity")
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp)
 	}
 	defer resp.Body.Close()
-	_, params, err := mime.ParseMediaType(resp.Header.Get("Content-Type"))
-	if err != nil || params["boundary"] == "" {
-		return nil, fmt.Errorf("client: stream Content-Type %q has no boundary", resp.Header.Get("Content-Type"))
-	}
 
 	res := &StreamResult{}
-	var seen, seenPrev []bool
-	mr := multipart.NewReader(resp.Body, params["boundary"])
+	var full, prev tier
 	for {
-		part, err := mr.NextPart()
+		p, err := pr.Next()
 		if err != nil {
 			return nil, fmt.Errorf("client: stream for %s ended without a terminal part: %w", id, err)
 		}
-		if part.Header.Get("Content-Type") == "application/json" {
-			if err := json.NewDecoder(part).Decode(&res.Final); err != nil {
-				return nil, fmt.Errorf("client: bad terminal part: %w", err)
-			}
+		if p.End != nil {
+			res.Final = *p.End
 			break
 		}
-		blob, err := io.ReadAll(part)
-		if err != nil {
-			return nil, fmt.Errorf("client: reading slice part: %w", err)
-		}
-		res.WireBytes += int64(len(blob))
-		if part.Header.Get("Content-Encoding") == api.EncodingGzip {
-			if blob, err = compress.Gunzip(blob); err != nil {
-				return nil, fmt.Errorf("client: slice part: %w", err)
-			}
-		}
-		res.RawBytes += int64(len(blob))
-		z, err := strconv.Atoi(part.Header.Get(api.HeaderSliceZ))
-		if err != nil {
-			return nil, fmt.Errorf("client: slice part without a %s header", api.HeaderSliceZ)
-		}
-		total, err := strconv.Atoi(part.Header.Get(api.HeaderSliceTotal))
-		if err != nil || total <= 0 {
-			return nil, fmt.Errorf("client: slice part without a %s header", api.HeaderSliceTotal)
-		}
-		img, err := volume.ImageFromBytes(blob)
-		if err != nil {
-			return nil, fmt.Errorf("client: slice %d payload: %w", z, err)
-		}
-		if pf := part.Header.Get(api.HeaderPreviewFactor); pf != "" {
-			factor, err := strconv.Atoi(pf)
-			if err != nil || factor < 1 {
-				return nil, fmt.Errorf("client: preview part with bad %s header %q", api.HeaderPreviewFactor, pf)
-			}
-			if res.Preview == nil {
-				res.Preview = volume.New(img.W, img.H, total, volume.IMajor)
-				res.PreviewFactor = factor
-				seenPrev = make([]bool, total)
-			}
-			if z < 0 || z >= len(seenPrev) {
-				return nil, fmt.Errorf("client: preview slice index %d out of range [0,%d)", z, len(seenPrev))
-			}
-			if seenPrev[z] {
-				return nil, fmt.Errorf("client: preview slice %d delivered twice", z)
-			}
-			seenPrev[z] = true
-			if err := res.Preview.SetSliceZ(z, img); err != nil {
+		res.WireBytes += int64(len(p.Wire))
+		res.RawBytes += int64(p.RawLen)
+		if p.Factor > 0 {
+			if err := prev.add(p, "preview slice"); err != nil {
 				return nil, err
 			}
-			res.PreviewSlices++
+			res.PreviewFactor = p.Factor
 			if hooks.OnPreview != nil {
-				hooks.OnPreview(z, total, factor)
+				hooks.OnPreview(p.Z, p.Total, p.Factor)
 			}
 			continue
 		}
-		if res.Volume == nil {
-			res.Volume = volume.New(img.W, img.H, total, volume.IMajor)
-			seen = make([]bool, total)
-		}
-		if z < 0 || z >= len(seen) {
-			return nil, fmt.Errorf("client: slice index %d out of range [0,%d)", z, len(seen))
-		}
-		if seen[z] {
-			return nil, fmt.Errorf("client: slice %d delivered twice", z)
-		}
-		seen[z] = true
-		if err := res.Volume.SetSliceZ(z, img); err != nil {
+		if err := full.add(p, "slice"); err != nil {
 			return nil, err
 		}
-		res.Slices++
 		if hooks.OnSlice != nil {
-			hooks.OnSlice(z, total)
+			hooks.OnSlice(p.Z, p.Total)
 		}
 	}
+	res.Volume, res.Slices = full.vol, full.n
+	res.Preview, res.PreviewSlices = prev.vol, prev.n
 
 	if res.Final.State == api.StateDone {
 		if res.Volume == nil {
@@ -184,4 +109,62 @@ func (c *Client) StreamProgressive(ctx context.Context, id string, hooks StreamH
 		}
 	}
 	return res, nil
+}
+
+// tier reassembles one tier of slice parts into a volume, exactly once per
+// index: the first part sizes the volume, and a duplicated or out-of-range
+// index fails rather than silently overwriting.
+type tier struct {
+	vol  *volume.Volume
+	seen []bool
+	n    int // parts received
+}
+
+func (t *tier) add(p *api.Part, what string) error {
+	if t.vol == nil {
+		t.vol = volume.New(p.Image.W, p.Image.H, p.Total, volume.IMajor)
+		t.seen = make([]bool, p.Total)
+	}
+	if p.Z >= len(t.seen) {
+		return fmt.Errorf("client: %s index %d out of range [0,%d)", what, p.Z, len(t.seen))
+	}
+	if t.seen[p.Z] {
+		return fmt.Errorf("client: %s %d delivered twice", what, p.Z)
+	}
+	if err := t.vol.SetSliceZ(p.Z, p.Image); err != nil {
+		return err
+	}
+	t.seen[p.Z] = true
+	t.n++
+	return nil
+}
+
+// openParts GETs a job's slice-stream endpoint (sub is "/stream" or
+// "/preview") and returns the response with a reader over its parts.
+func (c *Client) openParts(ctx context.Context, id, sub string) (*http.Response, *api.PartReader, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/jobs/"+id+sub, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	// Explicit either way: left unset, Go's transport would advertise gzip
+	// on its own and the per-part encoding would stop being the caller's
+	// choice.
+	enc := "identity"
+	if c.gzip {
+		enc = "gzip"
+	}
+	req.Header.Set("Accept-Encoding", enc)
+	resp, err := c.http.Do(req)
+	if err != nil {
+		return nil, nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, nil, decodeError(resp)
+	}
+	pr, err := api.NewPartReader(resp.Header.Get("Content-Type"), resp.Body)
+	if err != nil {
+		resp.Body.Close()
+		return nil, nil, fmt.Errorf("client: %w", err)
+	}
+	return resp, pr, nil
 }

@@ -72,7 +72,9 @@ func imageHeader(src []byte) (w, h int, err error) {
 	}
 	w = int(binary.LittleEndian.Uint32(src[0:]))
 	h = int(binary.LittleEndian.Uint32(src[4:]))
-	if w <= 0 || h <= 0 || len(src) != 8+4*w*h {
+	// Bound w and h by the payload before multiplying: a forged header
+	// must not overflow w*h into a match and a giant allocation.
+	if n := (len(src) - 8) / 4; w <= 0 || h <= 0 || w > n || h > n || len(src) != 8+4*w*h {
 		return 0, 0, fmt.Errorf("volume: image blob header %dx%d inconsistent with %d bytes", w, h, len(src))
 	}
 	return w, h, nil

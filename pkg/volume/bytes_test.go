@@ -59,4 +59,10 @@ func TestImageFromBytesErrors(t *testing.T) {
 	if _, err := ImageFromBytes(blob[:len(blob)-1]); err == nil {
 		t.Error("truncated blob should error")
 	}
+	// 4·2³¹·2³¹ wraps to 0 in int arithmetic: an 8-byte blob claiming a
+	// 2³¹×2³¹ image must be refused, not allocated.
+	forged := []byte{0, 0, 0, 0x80, 0, 0, 0, 0x80}
+	if _, err := ImageFromBytes(forged); err == nil {
+		t.Error("overflowing header should error")
+	}
 }
